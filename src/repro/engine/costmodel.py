@@ -18,7 +18,8 @@ on:
   trade-offs in Sec. 8.2/8.3.
 """
 
-from dataclasses import dataclass, field
+import heapq
+from dataclasses import dataclass
 
 
 @dataclass
@@ -67,7 +68,6 @@ class CostModel:
     """
 
     config: object
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def stage_cost(self, stage):
         """Cost breakdown for one :class:`StageMetrics` in isolation.
@@ -162,15 +162,20 @@ def _makespan(task_records, slots):
     Uses the longest-processing-time greedy rule, which is how a dataflow
     engine's slot scheduler behaves to first order.  This is the term that
     penalizes both too-few tasks (outer-parallel: fewer tasks than cores
-    leave cores idle) and skew (one giant task dominates).
+    leave cores idle) and skew (one giant task dominates).  Each task goes
+    to the least-loaded slot, ties to the lowest slot index; a heap of
+    ``(load, slot)`` pairs makes that O(n log slots).
     """
     active = [records for records in task_records if records > 0]
     if not active:
         return 0
     if len(active) <= slots:
         return max(active)
-    loads = [0] * slots
-    for records in sorted(active, reverse=True):
-        index = loads.index(min(loads))
-        loads[index] += records
-    return max(loads)
+    active.sort(reverse=True)
+    # The largest ``slots`` tasks land on the empty slots in order.
+    loads = [(records, slot) for slot, records in enumerate(active[:slots])]
+    heapq.heapify(loads)
+    for records in active[slots:]:
+        load, slot = loads[0]
+        heapq.heapreplace(loads, (load + records, slot))
+    return max(load for load, _ in loads)

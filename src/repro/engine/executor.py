@@ -91,6 +91,14 @@ def _origin(node):
     return name
 
 
+def _bucket_sizes(left_buckets, right_buckets):
+    """Per-task input of a cogroup's reduce stage: both sides' buckets."""
+    return [
+        len(left) + len(right)
+        for left, right in zip(left_buckets, right_buckets)
+    ]
+
+
 class _Result:
     """Partitions of an evaluated node plus the stage that produced them."""
 
@@ -341,8 +349,7 @@ class Executor:
 
     def _cached_result(self, node, job):
         stage = job.new_stage("cached", meta=node.meta, origin=_origin(node))
-        for _ in node.materialized:
-            stage.task_records.append(0)
+        stage.task_records = [0] * len(node.materialized)
         return _Result(node.materialized, stage)
 
     def _eval_node(self, node, job, results, elisions, ordinals):
@@ -390,8 +397,7 @@ class Executor:
     def _eval_parallelize(self, node, job):
         partitions = node.build_partitions()
         stage = job.new_stage("input", meta=node.meta, origin=_origin(node))
-        for part in partitions:
-            stage.task_records.append(len(part))
+        stage.task_records = [len(part) for part in partitions]
         return _Result(partitions, stage)
 
     # -- fused narrow elementwise chains -------------------------------
@@ -457,29 +463,34 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        out = []
-        for index, (records, counts, works) in enumerate(results):
-            out.append(self._store_fused(records, compiled, schema))
-            for i in range(len(steps)):
-                stage.add_task_records(index, counts[i])
-                if works[i]:
-                    # UDF-internal sequential work runs record-at-a-time
-                    # and is charged at the configured slowdown over the
-                    # bulk rate.
-                    stage.add_task_records(index, int(works[i] * factor))
+        if not results:
+            return _Result([], stage)
+        outputs, counts, works = zip(*results)
+        # Each task's operators' input counts, credited in one call.
+        credited = list(map(sum, counts))
+        if any(map(any, works)):
+            # UDF-internal sequential work runs record-at-a-time and is
+            # charged at the configured slowdown over the bulk rate.
+            for index, task_works in enumerate(works):
+                credited[index] += sum(
+                    int(work * factor) for work in task_works if work
+                )
+        stage.add_task_records_bulk(credited)
+        if compiled:
+            out = [self._store_fused(records, schema) for records in outputs]
+        else:
+            out = list(outputs)
         return _Result(out, stage)
 
     @staticmethod
-    def _store_fused(records, compiled, schema):
-        """Pick the storage format for one fused output partition.
+    def _store_fused(records, schema):
+        """Pick the storage format for one compiled output partition.
 
         Only the storage changes here, never the values: columnar
         partitions decode to the exact records that went in, so counts,
         trace signatures, and simulated seconds are identical across
-        all four paths (plain, probe, commit, skip).
+        all four paths (interpreted plain, probe, commit, skip).
         """
-        if not compiled:
-            return records
         if schema is None or schema.output_verdict is None:
             return maybe_columnar(records)
         if schema.output_verdict is False:
@@ -559,23 +570,22 @@ class Executor:
         )
         factor = self.config.sequential_work_factor
         out = []
-        for index, (records, work) in enumerate(results):
+        credited = []
+        for part, (records, work) in zip(child.partitions, results):
             out.append(records)
-            child.stage.add_task_records(
-                index, len(child.partitions[index])
-            )
-            if work:
-                child.stage.add_task_records(index, int(work * factor))
+            credited.append(len(part) + (int(work * factor) if work else 0))
+        child.stage.add_task_records_bulk(credited)
         return _Result(out, child.stage)
 
     def _eval_zip_with_unique_id(self, node, child):
         n = max(1, len(child.partitions))
-        out = []
-        for index, part in enumerate(child.partitions):
-            child.stage.add_task_records(index, len(part))
-            out.append(
-                [(item, index + i * n) for i, item in enumerate(part)]
-            )
+        child.stage.add_task_records_bulk(
+            [len(part) for part in child.partitions]
+        )
+        out = [
+            [(item, index + i * n) for i, item in enumerate(part)]
+            for index, part in enumerate(child.partitions)
+        ]
         return _Result(out, child.stage)
 
     def _eval_union(self, node, job, children):
@@ -583,8 +593,7 @@ class Executor:
             [child.partitions for child in children]
         )
         stage = job.new_stage("union", meta=node.meta, origin=_origin(node))
-        for _ in partitions:
-            stage.task_records.append(0)
+        stage.task_records = [0] * len(partitions)
         return _Result(partitions, stage)
 
     def _eval_coalesce(self, node, job, child):
@@ -595,8 +604,7 @@ class Executor:
         stage = job.new_stage(
             "coalesce", meta=node.meta, origin=_origin(node)
         )
-        for part in out:
-            stage.task_records.append(0)
+        stage.task_records = [0] * n
         return _Result(out, stage)
 
     # -- wide (shuffling) operators ------------------------------------
@@ -609,14 +617,13 @@ class Executor:
         records written to (and later read from) the shuffle.
         """
         buckets = [[] for _ in range(num_partitions)]
-        moved = 0
-        for index, part in enumerate(result.partitions):
-            result.stage.add_task_records(index, len(part))
-            moved += len(part)
+        sizes = [len(part) for part in result.partitions]
+        result.stage.add_task_records_bulk(sizes)
+        for part in result.partitions:
             for record in part:
                 self._require_keyed(record)
                 buckets[assignment[record[0]]].append(record)
-        return buckets, moved
+        return buckets, sum(sizes)
 
     def _shuffle(self, result, node, job):
         """Shuffle keyed partitions; returns (buckets, reduce_stage).
@@ -637,8 +644,7 @@ class Executor:
         stage = job.new_stage("shuffle", meta=node.meta, origin=origin)
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
-        for bucket in buckets:
-            stage.task_records.append(len(bucket))
+        stage.task_records = [len(bucket) for bucket in buckets]
         self._trace_shuffle(stage, origin)
         with self._state_lock:
             self._assignments[id(node)] = (weakref.ref(node), assignment)
@@ -741,13 +747,11 @@ class Executor:
             stage = job.new_stage(
                 "shuffle", meta=node.meta, origin=_origin(node)
             )
-            for _ in child.partitions:
-                stage.task_records.append(0)
+            stage.task_records = [0] * len(child.partitions)
             out = self._combine_pass(
                 task, child.partitions, stage, ordinals.take()
             )
-            for index, bucket in enumerate(out):
-                stage.add_task_records(index, len(bucket))
+            stage.add_task_records_bulk([len(bucket) for bucket in out])
             stage.shuffle_records_saved = sum(len(b) for b in out)
             self._account_spill(stage)
             self._record_elision(node, elision)
@@ -774,11 +778,8 @@ class Executor:
             stage = job.new_stage(
                 "shuffle", meta=node.meta, origin=_origin(node)
             )
-            for part in child.partitions:
-                stage.task_records.append(len(part))
-            stage.shuffle_records_saved = sum(
-                len(part) for part in child.partitions
-            )
+            stage.task_records = [len(part) for part in child.partitions]
+            stage.shuffle_records_saved = sum(stage.task_records)
             task = GroupBucketTask(
                 self._stage_rate(stage),
                 self.config.memory_overhead_factor,
@@ -843,11 +844,7 @@ class Executor:
                               origin=_origin(node))
         stage.shuffle_read_records = left_moved + right_moved
         stage.shuffle_write_records = left_moved + right_moved
-        for bucket_index in range(node.num_partitions):
-            stage.task_records.append(
-                len(left_buckets[bucket_index])
-                + len(right_buckets[bucket_index])
-            )
+        stage.task_records = _bucket_sizes(left_buckets, right_buckets)
         self._trace_shuffle(stage, _origin(node))
         return self._run_cogroup_buckets(
             node, stage, left_buckets, right_buckets, ordinals
@@ -907,11 +904,7 @@ class Executor:
         stage.shuffle_read_records = moved
         stage.shuffle_write_records = moved
         stage.shuffle_records_saved = saved
-        for bucket_index in range(n):
-            stage.task_records.append(
-                len(left_buckets[bucket_index])
-                + len(right_buckets[bucket_index])
-            )
+        stage.task_records = _bucket_sizes(left_buckets, right_buckets)
         if moved:
             self._trace_shuffle(stage, _origin(node))
         if layout is not None:
@@ -933,10 +926,9 @@ class Executor:
         producing stage like :meth:`_bucketize`.
         """
         buckets = [[] for _ in range(num_partitions)]
-        moved = 0
-        for index, part in enumerate(result.partitions):
-            result.stage.add_task_records(index, len(part))
-            moved += len(part)
+        sizes = [len(part) for part in result.partitions]
+        result.stage.add_task_records_bulk(sizes)
+        for part in result.partitions:
             for record in part:
                 self._require_keyed(record)
                 key = record[0]
@@ -945,7 +937,7 @@ class Executor:
                     bucket = stable_hash(key) % num_partitions
                     layout[key] = bucket
                 buckets[bucket].append(record)
-        return buckets, moved
+        return buckets, sum(sizes)
 
     def _run_cogroup_buckets(self, node, stage, left_buckets,
                              right_buckets, ordinals):
@@ -978,8 +970,10 @@ class Executor:
     def _eval_broadcast_join(self, node, job, left, right, ordinals):
         table = {}
         count = 0
-        for index, part in enumerate(right.partitions):
-            right.stage.add_task_records(index, len(part))
+        right.stage.add_task_records_bulk(
+            [len(part) for part in right.partitions]
+        )
+        for part in right.partitions:
             for record in part:
                 self._require_keyed(record)
                 key, value = record
@@ -1003,8 +997,10 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        for index, part in enumerate(left.partitions):
-            stage.add_task_records(index, len(part) + len(out[index]))
+        stage.add_task_records_bulk([
+            len(part) + len(produced)
+            for part, produced in zip(left.partitions, out)
+        ])
         return _Result(out, stage)
 
     def _eval_cross_broadcast(self, node, job, left, right, ordinals):
@@ -1015,8 +1011,9 @@ class Executor:
             stream_node, stream = node.right, right
             small_node, small = node.left, left
         payload = [item for part in small.partitions for item in part]
-        for index, part in enumerate(small.partitions):
-            small.stage.add_task_records(index, len(part))
+        small.stage.add_task_records_bulk(
+            [len(part) for part in small.partitions]
+        )
         self._check_broadcast(
             len(payload), "cross-product broadcast side",
             meta=small_node.meta,
@@ -1039,8 +1036,7 @@ class Executor:
             stage=stage,
             ordinal=ordinals.take(),
         )
-        for index, produced in enumerate(out):
-            stage.add_task_records(index, len(produced))
+        stage.add_task_records_bulk([len(produced) for produced in out])
         return _Result(out, stage)
 
     # ------------------------------------------------------------------
@@ -1122,8 +1118,7 @@ class Executor:
         corrected = job.new_stage(
             "union", meta=node.meta, origin=_origin(node)
         )
-        for _ in stage.task_records:
-            corrected.task_records.append(0)
+        corrected.task_records = [0] * len(stage.task_records)
         return corrected
 
     def _stage_rate(self, stage):

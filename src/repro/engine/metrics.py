@@ -16,6 +16,7 @@ freshly created stage (one not yet visible to other threads) needs no
 lock and is left alone.
 """
 
+import operator
 import threading
 from dataclasses import dataclass, field
 
@@ -128,6 +129,32 @@ class StageMetrics:
                 self.task_seconds.append(0.0)
             self.task_seconds[partition_index] += seconds
 
+    def add_task_records_bulk(self, counts):
+        """Credit ``counts[i]`` processed records to task ``i``, for all i.
+
+        One lock acquisition for a whole task set; the result equals
+        ``add_task_records(i, counts[i])`` called for every ``i``.
+        """
+        with self._lock:
+            _add_elementwise(self.task_records, counts, 0)
+
+    def add_task_seconds_bulk(self, seconds, indices=None):
+        """Credit measured seconds to many tasks under one lock.
+
+        ``seconds[i]`` goes to task ``i``, or to task ``indices[i]``
+        when given (one retry wave's successful attempts).  The result
+        equals one ``add_task_seconds`` call per entry.
+        """
+        with self._lock:
+            if indices is None:
+                _add_elementwise(self.task_seconds, seconds, 0.0)
+                return
+            task_seconds = self.task_seconds
+            for index, value in zip(indices, seconds):
+                while len(task_seconds) <= index:
+                    task_seconds.append(0.0)
+                task_seconds[index] += value
+
     def add_failed_attempt_seconds(self, seconds):
         """Credit wall-clock burned in a failed task attempt."""
         with self._lock:
@@ -142,6 +169,14 @@ class StageMetrics:
         """Credit detected straggler tasks to this stage."""
         with self._lock:
             self.straggler_tasks += count
+
+
+def _add_elementwise(target, values, zero):
+    """``target[i] += values[i]`` for every i, padding with ``zero``."""
+    missing = len(values) - len(target)
+    if missing > 0:
+        target.extend([zero] * missing)
+    target[:len(values)] = map(operator.add, target, values)
 
 
 @dataclass

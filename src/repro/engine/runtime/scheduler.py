@@ -275,7 +275,6 @@ class TaskScheduler:
         tracer = self.tracer
         collect = tracer.enabled
         span_cap = tracer.max_task_spans
-        max_attempts = self.config.max_task_attempts
 
         lane = self._dispatch_lane()
         final = [None] * len(args_list)
@@ -299,88 +298,36 @@ class TaskScheduler:
                 self.tasks_launched += len(pending)
             wave += 1
             pending = []
-            for outcome in outcomes:
-                # Per-task spans are capped per stage (failures and
-                # retries always emit); see Tracer.max_task_spans.
-                if collect and (
-                    outcome.task_index < span_cap
-                    or not outcome.ok
-                    or outcome.attempt > 1
-                ):
-                    self._emit_task_events(
-                        outcome, operator, ordinal, window_start,
-                        window_end,
-                    )
-                if outcome.ok:
-                    if stage is not None:
-                        stage.add_task_seconds(
-                            outcome.task_index, outcome.seconds
+            ok_indices = []
+            ok_seconds = []
+            try:
+                for outcome in outcomes:
+                    # Per-task spans are capped per stage (failures and
+                    # retries always emit); see Tracer.max_task_spans.
+                    if collect and (
+                        outcome.task_index < span_cap
+                        or not outcome.ok
+                        or outcome.attempt > 1
+                    ):
+                        self._emit_task_events(
+                            outcome, operator, ordinal, window_start,
+                            window_end,
                         )
-                    final[outcome.task_index] = outcome
-                    continue
-                # A failed attempt never counts toward the stage's
-                # task_seconds (retried work must not be double-billed);
-                # it is tracked separately.
-                if stage is not None:
-                    stage.add_failed_attempt_seconds(outcome.seconds)
-                with self._counter_lock:
-                    self.tasks_failed += 1
-                if collect:
-                    tracer.instant(
-                        "fault:%s#%d" % (operator, outcome.task_index),
-                        KIND_FAULT,
-                        lane=lane,
-                        dispatch=ordinal,
-                        task=outcome.task_index,
-                        attempt=outcome.attempt,
-                        error=type(outcome.error).__name__,
-                    )
-                if not outcome.retryable:
-                    self._reraise(outcome)
-                if outcome.attempt >= max_attempts:
-                    raise TaskFailedError(
-                        ordinal,
-                        outcome.task_index,
-                        outcome.attempt,
-                        outcome.error,
-                    )
-                with self._counter_lock:
-                    self.tasks_retried += 1
-                if stage is not None:
-                    stage.add_task_retries(1)
-                # No silent retry of a provably nondeterministic task:
-                # the re-run may legitimately produce a different
-                # result, so make the hazard observable before it runs.
-                report = self._task_effects(task)
-                if report is not None and report.deterministic is False:
-                    self._note_unproven_reexecution(
-                        operator, ordinal, outcome.task_index, lane,
-                        "retry",
-                        "retrying task of operator %r: its UDFs are "
-                        "provably nondeterministic, so the repeated "
-                        "attempt may observe a different result"
-                        % operator,
-                    )
-                if collect:
-                    tracer.instant(
-                        "retry:%s#%d" % (operator, outcome.task_index),
-                        KIND_TASK_RETRY,
-                        lane=lane,
-                        dispatch=ordinal,
-                        task=outcome.task_index,
-                        next_attempt=outcome.attempt + 1,
-                        error=type(outcome.error).__name__,
-                    )
-                pending.append(
-                    self._invocation(
-                        task,
-                        args_list[outcome.task_index],
-                        ordinal,
-                        operator,
-                        outcome.task_index,
-                        outcome.attempt + 1,
-                    )
-                )
+                    if outcome.ok:
+                        final[outcome.task_index] = outcome
+                        ok_indices.append(outcome.task_index)
+                        ok_seconds.append(outcome.seconds)
+                    else:
+                        pending.append(self._retry_invocation(
+                            task, args_list, stage, ordinal, operator,
+                            outcome, lane,
+                        ))
+            finally:
+                # Only successful attempts count toward the stage's
+                # task_seconds, credited once per wave -- also when a
+                # permanent failure ends the wave early.
+                if stage is not None and ok_indices:
+                    stage.add_task_seconds_bulk(ok_seconds, ok_indices)
         # Straggler baseline: only this dispatch's own per-task
         # attributed seconds.  Concurrent sibling stages never enter
         # the median, so an unbalanced co-scheduled stage cannot mask
@@ -408,6 +355,77 @@ class TaskScheduler:
                 final, lane,
             )
         return [outcome.value for outcome in final]
+
+    def _retry_invocation(self, task, args_list, stage, ordinal, operator,
+                          outcome, lane):
+        """Account one failed attempt; return the invocation retrying it.
+
+        Raises the task's error when it is not retryable, or
+        :class:`~repro.errors.TaskFailedError` once the task has used
+        up ``config.max_task_attempts``.
+        """
+        tracer = self.tracer
+        # A failed attempt never counts toward the stage's
+        # task_seconds (retried work must not be double-billed);
+        # it is tracked separately.
+        if stage is not None:
+            stage.add_failed_attempt_seconds(outcome.seconds)
+        with self._counter_lock:
+            self.tasks_failed += 1
+        if tracer.enabled:
+            tracer.instant(
+                "fault:%s#%d" % (operator, outcome.task_index),
+                KIND_FAULT,
+                lane=lane,
+                dispatch=ordinal,
+                task=outcome.task_index,
+                attempt=outcome.attempt,
+                error=type(outcome.error).__name__,
+            )
+        if not outcome.retryable:
+            self._reraise(outcome)
+        if outcome.attempt >= self.config.max_task_attempts:
+            raise TaskFailedError(
+                ordinal,
+                outcome.task_index,
+                outcome.attempt,
+                outcome.error,
+            )
+        with self._counter_lock:
+            self.tasks_retried += 1
+        if stage is not None:
+            stage.add_task_retries(1)
+        # No silent retry of a provably nondeterministic task:
+        # the re-run may legitimately produce a different
+        # result, so make the hazard observable before it runs.
+        report = self._task_effects(task)
+        if report is not None and report.deterministic is False:
+            self._note_unproven_reexecution(
+                operator, ordinal, outcome.task_index, lane,
+                "retry",
+                "retrying task of operator %r: its UDFs are "
+                "provably nondeterministic, so the repeated "
+                "attempt may observe a different result"
+                % operator,
+            )
+        if tracer.enabled:
+            tracer.instant(
+                "retry:%s#%d" % (operator, outcome.task_index),
+                KIND_TASK_RETRY,
+                lane=lane,
+                dispatch=ordinal,
+                task=outcome.task_index,
+                next_attempt=outcome.attempt + 1,
+                error=type(outcome.error).__name__,
+            )
+        return self._invocation(
+            task,
+            args_list[outcome.task_index],
+            ordinal,
+            operator,
+            outcome.task_index,
+            outcome.attempt + 1,
+        )
 
     # ------------------------------------------------------------------
     # Effect gating: nondeterministic retries, speculative copies
@@ -574,8 +592,7 @@ class TaskScheduler:
         with self._counter_lock:
             self.tasks_launched += len(args_list)
         if stage is not None:
-            for index, value in enumerate(seconds):
-                stage.add_task_seconds(index, value)
+            stage.add_task_seconds_bulk(seconds)
             stage.add_straggler_tasks(
                 len(self._straggler_indices(seconds))
             )
@@ -612,13 +629,12 @@ class TaskScheduler:
         ``REPRO_STRAGGLER_FACTOR`` environment variable) and an
         absolute floor (so microsecond-scale jitter never counts).
         """
-        if len(seconds) < 2:
+        floor = self.config.straggler_min_task_seconds
+        if len(seconds) < 2 or max(seconds) <= floor:
+            # No task passes the floor, so none can be a straggler.
             return []
         median = statistics.median(seconds)
-        threshold = max(
-            self.config.straggler_min_task_seconds,
-            self.config.straggler_factor * median,
-        )
+        threshold = max(floor, self.config.straggler_factor * median)
         return [
             index for index, value in enumerate(seconds)
             if value > threshold

@@ -69,6 +69,10 @@ class FusedPipelineTask:
     def __call__(self, part):
         steps = self.steps
         num = len(steps)
+        if not len(part):
+            # Most tasks of a flattened paper-scale stage get an empty
+            # partition; skip the iterator machinery for them.
+            return [], [0] * num, [0] * num
         counts = [0] * num
         works = [[0] for _ in range(num)]
         out = []

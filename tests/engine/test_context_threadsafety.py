@@ -129,6 +129,41 @@ class TestLockedStructures:
         assert abs(stage.measured_seconds - total * 0.001) < 1e-6
         assert abs(stage.failed_attempt_seconds - total * 0.001) < 1e-6
 
+    def test_bulk_mutators_do_not_drop_updates(self):
+        trace = ExecutionTrace()
+        stage = trace.new_job("collect").new_stage("input")
+        workers = 8
+        per_worker = 200
+        width = 16
+
+        def hammer(worker):
+            for i in range(per_worker):
+                # Alternate list lengths so concurrent calls both pad
+                # and add.
+                n = width if (worker + i) % 2 else width // 2
+                stage.add_task_records_bulk([1] * n)
+                stage.add_task_seconds_bulk([0.001] * n)
+                stage.add_task_seconds_bulk([0.001], indices=[worker])
+
+        threads = [
+            threading.Thread(target=hammer, args=(w,))
+            for w in range(workers)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        calls = workers * per_worker
+        # Half of all calls are full width, half cover the first half.
+        wide = narrow = calls // 2
+        assert stage.task_records == (
+            [wide + narrow] * (width // 2) + [wide] * (width // 2)
+        )
+        assert len(stage.task_seconds) == width
+        credited = wide * width + narrow * (width // 2)
+        expected = (credited + calls) * 0.001
+        assert abs(stage.measured_seconds - expected) < 1e-6
+
     def test_new_job_ids_unique_under_contention(self):
         trace = ExecutionTrace()
         ids = []

@@ -92,6 +92,50 @@ def test_makespan_monotone_in_slots(tasks, slots_a, slots_b):
     assert _makespan(tasks, high) <= _makespan(tasks, low)
 
 
+def _reference_makespan(task_records, slots):
+    """The linear-scan LPT: each task to ``loads.index(min(loads))``."""
+    active = [records for records in task_records if records > 0]
+    if not active:
+        return 0
+    if len(active) <= slots:
+        return max(active)
+    loads = [0] * slots
+    for records in sorted(active, reverse=True):
+        index = loads.index(min(loads))
+        loads[index] += records
+    return max(loads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    # A narrow value range makes ties (equal tasks, equal slot loads)
+    # common; zeros must be ignored.
+    tasks=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=4),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+        max_size=60,
+    ),
+    slots=st.integers(min_value=1, max_value=80),
+)
+def test_makespan_matches_linear_scan_lpt(tasks, slots):
+    assert _makespan(tasks, slots) == _reference_makespan(tasks, slots)
+
+
+@pytest.mark.parametrize("tasks, slots", [
+    ([], 1),
+    ([], 5),
+    ([0, 0, 0], 2),
+    ([3, 3, 3, 3, 3], 1),
+    ([3, 3, 3, 3, 3], 2),
+    ([5, 4, 3, 3, 2, 2, 2], 3),
+    ([7, 1], 10),
+])
+def test_makespan_matches_linear_scan_lpt_edges(tasks, slots):
+    assert _makespan(tasks, slots) == _reference_makespan(tasks, slots)
+
+
 def test_empty_trace_is_free():
     model = CostModel(ClusterConfig())
     assert model.simulated_seconds(ExecutionTrace()) == 0.0
